@@ -76,14 +76,12 @@ func runRecovery(keys int) (recoveryRecord, error) {
 		rep.SetSnapshotter(replication.Snapshotter{Snapshot: store.Snapshot, Restore: store.Restore})
 		node, err := core.NewNode(network.Endpoint(id), core.Config{
 			Self: id, Universe: ids, Relation: replication.PassiveRelation(),
-			Snapshot: rep.EncodeSnapshot,
-			Restore:  func(b []byte) { _ = rep.InstallSnapshot(b) },
 		}, rep.DeliverFunc())
 		if err != nil {
 			return recoveryRecord{}, err
 		}
 		rep.Bind(node)
-		replication.ServeSync(node.Endpoint(), rep, replication.SyncConfig{Join: node.Join})
+		replication.ServeSync(node.Endpoint(), rep)
 		reps = append(reps, rep)
 		nodes = append(nodes, node)
 		stores = append(stores, store)
@@ -137,7 +135,6 @@ func runRecovery(keys int) (recoveryRecord, error) {
 		Donors:   ids,
 		Interval: time.Millisecond,
 		Timeout:  2 * time.Second,
-		Announce: true,
 	})
 	joinStart := time.Now()
 	ep.Start()

@@ -143,7 +143,7 @@ func buildSvcHarness(seed int64, batch, fault bool) (*svcHarness, error) {
 		// Every member is a sync donor so E19 followers can join; idle for
 		// the follower-less experiments.
 		rep.SetSnapshotter(replication.Snapshotter{Snapshot: sm.snapshot, Restore: sm.restore})
-		replication.ServeSync(nd.Endpoint(), rep, replication.SyncConfig{Join: nd.Join})
+		replication.ServeSync(nd.Endpoint(), rep)
 		if batch {
 			rep.EnableBatching(replication.BatchConfig{})
 		}

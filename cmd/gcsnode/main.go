@@ -30,11 +30,12 @@
 // operation to its key's shard (gcs.DialSharded with kvdemo.Key).
 //
 // With -join, the process attaches to a RUNNING deployment as a catch-up
-// follower instead of a full member: it installs a replica snapshot from
-// the group (state transfer) and then follows the delivered-command log,
-// serving reads at backup parity through its gateway while writes redirect
-// to the primaries. A member that crashed and lost its disk rejoins this
-// way under its old ID with a higher -incarnation.
+// follower instead of a full member: its first sync pull installs a
+// replica snapshot from a donor and later pulls follow the
+// delivered-command log, serving reads at backup parity through its
+// gateway while writes redirect to the primaries. A member that crashed
+// and lost its disk rejoins this way under its old ID with a higher
+// -incarnation.
 //
 // With -data-dir, the node is DURABLE: every shard logs its deliveries to
 // a segmented WAL under <data-dir>/shard<k> (one fsync per commit window,
@@ -87,7 +88,7 @@ func main() {
 		svcLease     = flag.Duration("service-lease-ttl", 0, "replicated session lease: expire (session, seq) dedup records idle for this long as ordered messages, bounding the replicated table (0 = never)")
 		svcWatchdog  = flag.Duration("service-watchdog", 2*time.Second, "quorum-progress watchdog: a primary whose ordered sequence stalls this long with work pending answers new writes DEGRADED (fail fast, retryable) instead of queueing them to their timeouts; keep it above the failover suspicion timeout (0 = disabled)")
 		svcLdrLease  = flag.Duration("service-leader-lease", 0, "leadership lease TTL: the primary renews an ordered lease and serves linearizable reads locally while it holds (no per-read barrier); TTL plus a TTL/4 drift margin must fit under the 500ms failover suspicion timeout, so at most 400ms (0 = disabled)")
-		join         = flag.Bool("join", false, "join a RUNNING service deployment as a catch-up follower: install a replica snapshot from the group and follow its command log, serving reads at backup parity (requires -service-listen; -peers lists the full members)")
+		join         = flag.Bool("join", false, "join a RUNNING service deployment as a catch-up follower: pull a replica snapshot from a donor and follow its command log, serving reads at backup parity (requires -service-listen; -peers lists the full members)")
 		incarnation  = flag.Uint64("incarnation", 1, "with -join or -data-dir: this process's incarnation; increase it on every restart")
 		dataDir      = flag.String("data-dir", "", "durable storage root (requires -service-listen): shard k's WAL segments and snapshots live in <data-dir>/shard<k>; every acknowledged write is fsynced before its ack, and a restart replays local disk, then pulls only the missing delta from the group")
 		adminListen  = flag.String("admin-listen", "", "expose the admin/debug HTTP endpoint on this address: /metrics (Prometheus), /healthz, /debug/traces, /debug/pprof")
@@ -257,8 +258,8 @@ func run(self, listen, peersSpec string, sendEvery time.Duration, useAbcast bool
 	}
 
 	if join {
-		// Catch-up follower: no vote, no broadcast — install a snapshot
-		// from the running group, then follow its command log forever,
+		// Catch-up follower: no vote, no broadcast, no place in the view —
+		// pull a snapshot from a donor, then follow its command log forever,
 		// serving reads at backup parity through the local gateway.
 		if !serviceMode {
 			return fmt.Errorf("-join requires -service-listen (followers exist to serve the KV service)")
@@ -408,11 +409,6 @@ func run(self, listen, peersSpec string, sendEvery time.Duration, useAbcast bool
 			replica.SetSnapshotter(gcs.ReplicaSnapshotter{Snapshot: store.Snapshot, Restore: store.Restore})
 			cfg := baseCfg
 			cfg.Relation = gcs.PassiveRelation()
-			// State transfer for mid-life joiners (gcsnode -join): the hook
-			// captures the replica snapshot at the ordered join's delivery
-			// point.
-			cfg.Snapshot = replica.EncodeSnapshot
-			cfg.Restore = func(b []byte) { _ = replica.InstallSnapshot(b) }
 			if dataDir != "" {
 				eng, err := openShardStorage(dataDir, k)
 				if err != nil {

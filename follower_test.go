@@ -1,6 +1,6 @@
 package gcs_test
 
-// Public-API crash-recovery test: the follower/join assembly exposed as
+// Public-API crash-recovery tests: the follower/join assembly exposed as
 // gcs.NewFollowerNode + gcs.ServeReplicaSync — the exact wiring `gcsnode
 // -join` runs — over the simulated network. A follower with empty state
 // joins a running group, installs the replica snapshot, catches up through
@@ -8,6 +8,9 @@ package gcs_test
 // gateway.
 
 import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,16 +18,15 @@ import (
 	"repro/internal/kvdemo"
 )
 
-func TestFollowerNodePublicAPI(t *testing.T) {
-	members := []gcs.ID{"s1", "s2", "s3"}
-	network := gcs.NewNetwork(gcs.WithDelay(0, 2*time.Millisecond), gcs.WithSeed(19))
-	defer network.Shutdown()
-
+// startReplicaGroup starts an in-memory replicated KV group over network:
+// one passive replica per member, each serving sync. The membership join's
+// Snapshot/Restore hooks are wired too — the toolkit-level state transfer —
+// so a test can tell that followers never go through it.
+func startReplicaGroup(t *testing.T, network *gcs.Network, members []gcs.ID) ([]*kvdemo.Store, []*gcs.PassiveReplica, []*gcs.Node) {
+	t.Helper()
 	stores := make([]*kvdemo.Store, len(members))
 	reps := make([]*gcs.PassiveReplica, len(members))
 	nodes := make([]*gcs.Node, len(members))
-	addrs := map[gcs.ID]string{"s1": "s1", "s2": "s2", "s3": "s3", "f1": "f1"}
-
 	for i, id := range members {
 		stores[i] = kvdemo.New()
 		reps[i] = gcs.NewPassiveReplica(stores[i], members)
@@ -45,11 +47,20 @@ func TestFollowerNodePublicAPI(t *testing.T) {
 		node.Start()
 		nodes[i] = node
 	}
-	defer func() {
+	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.Stop()
 		}
-	}()
+	})
+	return stores, reps, nodes
+}
+
+func TestFollowerNodePublicAPI(t *testing.T) {
+	members := []gcs.ID{"s1", "s2", "s3"}
+	network := gcs.NewNetwork(gcs.WithDelay(0, 2*time.Millisecond), gcs.WithSeed(19))
+	defer network.Shutdown()
+	addrs := map[gcs.ID]string{"s1": "s1", "s2": "s2", "s3": "s3", "f1": "f1"}
+	stores, reps, _ := startReplicaGroup(t, network, members)
 
 	// A gateway at the primary, and some committed state.
 	l, err := network.ListenStream("s1")
@@ -142,5 +153,63 @@ func TestFollowerNodePublicAPI(t *testing.T) {
 	}
 	if got, err := pinned.ReadAt([]byte("get d"), gcs.ReadLinearizable); err != nil || string(got) != "4" {
 		t.Fatalf("linearizable read of redirected write: %q %v", got, err)
+	}
+}
+
+// TestFollowerStaysOutOfView: a follower catches up through the sync pull
+// alone. It never enters the cores' membership view (a follower in the view
+// would count toward gcsnode's quorum health check and could mask a lost
+// core quorum), and the application state is restored exactly once.
+func TestFollowerStaysOutOfView(t *testing.T) {
+	members := []gcs.ID{"s1", "s2", "s3"}
+	network := gcs.NewNetwork(gcs.WithDelay(0, 2*time.Millisecond), gcs.WithSeed(23))
+	defer network.Shutdown()
+	_, reps, nodes := startReplicaGroup(t, network, members)
+	for i := 0; i < 20; i++ {
+		op := fmt.Sprintf("put k%d %d", i, i)
+		if _, err := reps[0].RequestSession("w", uint64(i+1), uint64(i), []byte(op), 10*time.Second); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+	}
+	before := make([]gcs.View, len(nodes))
+	for i, nd := range nodes {
+		before[i] = nd.View()
+	}
+
+	fstore := kvdemo.New()
+	var restores atomic.Int32
+	follower, err := gcs.NewFollowerNode(network.Endpoint("f1"), fstore, gcs.FollowerConfig{
+		Self:        "f1",
+		Donors:      members,
+		Incarnation: 1,
+		Snapshot:    fstore.Snapshot,
+		Restore: func(b []byte) {
+			restores.Add(1)
+			fstore.Restore(b)
+		},
+		PullInterval: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Stop()
+	select {
+	case <-follower.Installed():
+	case <-time.After(20 * time.Second):
+		t.Fatal("follower never installed")
+	}
+	// Give a join, had one been requested, time to be ordered and shipped.
+	time.Sleep(300 * time.Millisecond)
+
+	if got := fstore.Get("k19"); got != "19" {
+		t.Fatalf("follower state: k19=%q", got)
+	}
+	for i, nd := range nodes {
+		if v := nd.View(); !reflect.DeepEqual(v, before[i]) {
+			t.Errorf("%s view changed by the follower: %v -> %v", members[i], before[i], v)
+		}
+	}
+	if n := restores.Load(); n != 1 {
+		t.Errorf("application Restore ran %d times, want 1", n)
 	}
 }

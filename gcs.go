@@ -174,8 +174,9 @@ type (
 	// member replays locally, then pulls only the missing delta from the
 	// peers before serving (NewReplicaRecovery).
 	ReplicaRecovery = replication.Recovery
-	// ReplicaRecoveryStats is the recovery phase's accounting.
-	ReplicaRecoveryStats = replication.RecoveryStats
+	// ReplicaRecoveryStats is the recovery phase's accounting (the catch-up
+	// counters a follower's syncer keeps too).
+	ReplicaRecoveryStats = replication.SyncStats
 
 	// MetricsRegistry is the node-wide telemetry registry: counters, gauges
 	// and latency histograms, exported in Prometheus text format.
@@ -333,14 +334,11 @@ func PassiveRelation() *Relation {
 
 // ServeReplicaSync registers the donor side of the replica state-transfer
 // protocol on a node: followers (NewFollowerNode, gcsnode -join) pull
-// snapshots and the delivered-command log from it, and a follower's HELLO
-// triggers the ordered membership join (whose state transfer ships the
-// replica snapshot captured at the join's position in the total order).
-// Call BETWEEN NewNode and Start — like every endpoint handler. Every full
-// replica of a deployment should serve sync so followers can fail over
-// between donors.
+// snapshots and the delivered-command log from it. Call BETWEEN NewNode and
+// Start — like every endpoint handler. Every full replica of a deployment
+// should serve sync so followers can fail over between donors.
 func ServeReplicaSync(node *Node, rep *PassiveReplica) {
-	replication.ServeSync(node.Endpoint(), rep, replication.SyncConfig{Join: node.Join})
+	replication.ServeSync(node.Endpoint(), rep)
 }
 
 // OpenFileStorage creates or recovers the file-backed storage engine in
@@ -363,7 +361,7 @@ func NewMemoryStorage() *MemoryStorage { return storage.NewMemory() }
 // this member with its peers — pulling only the delta its disk missed —
 // before the deployment starts serving clients.
 func NewReplicaRecovery(node *Node, rep *PassiveReplica, peers []ID) *ReplicaRecovery {
-	return replication.NewRecovery(node.Endpoint(), rep, peers, replication.SyncConfig{Join: node.Join})
+	return replication.NewRecovery(node.Endpoint(), rep, peers, replication.SyncConfig{})
 }
 
 // FollowerConfig parameterises NewFollowerNode.
@@ -388,9 +386,9 @@ type FollowerConfig struct {
 	PullTimeout  time.Duration
 	// Storage optionally makes the follower durable: every delivery is
 	// logged to the engine, and a restart replays its own disk first, then
-	// pulls only the delta it missed from the donors (a primed syncer — no
-	// snapshot transfer, no announce). The follower owns the engine; Stop
-	// seals it with a final sync + snapshot.
+	// pulls only the delta it missed from the donors (no snapshot
+	// transfer). The follower owns the engine; Stop seals it with a final
+	// sync + snapshot.
 	Storage StorageEngine
 	// StorageCompactBytes bounds WAL growth before a background snapshot
 	// compacts it (0 = default 8 MiB, negative disables compaction).
@@ -398,11 +396,11 @@ type FollowerConfig struct {
 }
 
 // Follower is a running catch-up replica over one transport endpoint: it
-// installs a snapshot from the group (via the membership join path or the
-// pull protocol), then follows the delivered-command log forever. Its
-// Replica serves reads at full backup parity (Monotonic locally,
-// Linearizable via a read-index barrier at the primary) and answers writes
-// with redirects — hand it to a service gateway as a Shard handle.
+// pulls a snapshot from a donor, then follows the delivered-command log
+// forever. Its Replica serves reads at full backup parity (Monotonic
+// locally, Linearizable via a read-index barrier at the primary) and
+// answers writes with redirects — hand it to a service gateway as a Shard
+// handle.
 type Follower struct {
 	// Replica is the follower's replica handle (for gateways and reads).
 	Replica *PassiveReplica
@@ -413,25 +411,18 @@ type Follower struct {
 	syncer   *replication.Syncer
 }
 
-// noGB is the membership broadcaster stub of a follower (receive-only).
-type noGB struct{}
-
-func (noGB) Broadcast(string, any) error {
-	return fmt.Errorf("gcs: a follower is not a group member")
-}
-
 // NewFollowerNode assembles and starts a catch-up replica over tr — the
 // recovery/join path of a deployment: a crashed member that lost its state
-// (or a brand-new read replica) rejoins the running group without replaying
-// history, via snapshot state transfer plus the catch-up cursor. With
-// cfg.Storage the follower is durable: it replays its own disk before
-// pulling, and a restart costs only the delta it missed. The follower owns
-// tr (and the engine); Stop releases both.
+// (or a brand-new read replica) catches up with the running group without
+// replaying history and without entering its membership view. Its first
+// pull from a donor ships a full snapshot; later pulls ship the log entries
+// after its commit index. With cfg.Storage the follower is durable: it
+// replays its own disk before pulling, and a restart costs only the delta
+// it missed. The follower owns tr (and the engine); Stop releases both.
 func NewFollowerNode(tr Transport, sm PassiveStateMachine, cfg FollowerConfig) (*Follower, error) {
 	rep := replication.NewFollower(sm, cfg.Self)
 	rep.SetSnapshotter(replication.Snapshotter{Snapshot: cfg.Snapshot, Restore: cfg.Restore})
 	var replayed replication.ReplayStats
-	primed := false
 	if cfg.Storage != nil {
 		rep.SetStorage(replication.StorageConfig{Engine: cfg.Storage, CompactBytes: cfg.StorageCompactBytes})
 		rs, err := rep.ReplayStorage()
@@ -439,7 +430,6 @@ func NewFollowerNode(tr Transport, sm PassiveStateMachine, cfg FollowerConfig) (
 			return nil, fmt.Errorf("gcs: follower storage replay: %w", err)
 		}
 		replayed = rs
-		primed = rs.SnapshotIndex > 0 || rs.Records > 0
 	}
 	var opts []rchannel.Option
 	if cfg.RTO > 0 {
@@ -453,16 +443,6 @@ func NewFollowerNode(tr Transport, sm PassiveStateMachine, cfg FollowerConfig) (
 		Donors:   cfg.Donors,
 		Interval: cfg.PullInterval,
 		Timeout:  cfg.PullTimeout,
-		// A primed follower already stands at a real index: it asks donors
-		// for the delta after it instead of announcing for a full snapshot.
-		Announce: !primed,
-		Primed:   primed,
-	})
-	// Receiver half of the membership join path: the donor's HELLO handler
-	// requests the ordered join, and the membership primary ships the
-	// snapshot here.
-	membership.New(noGB{}, ep, proc.NewView(cfg.Self), membership.Snapshotter{
-		Restore: func(b []byte) { _ = rep.InstallSnapshot(b) },
 	})
 	ep.Start()
 	syncer.Start()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/membership"
 	"repro/internal/proc"
 	"repro/internal/rchannel"
 	"repro/internal/replication"
@@ -275,11 +274,6 @@ func (c *cluster) assembleCore(id proc.ID) *coreNode {
 			FDCheckEvery:     2 * raceScale * time.Millisecond,
 			SuspicionTimeout: 50 * raceScale * time.Millisecond,
 			Incarnation:      inc,
-			// The membership join path's state transfer is the replica
-			// snapshot, captured by the hook AT the ordered join's delivery
-			// point (a delivery boundary identical at every member).
-			Snapshot: rep.EncodeSnapshot,
-			Restore:  func(b []byte) { _ = rep.InstallSnapshot(b) },
 		}, rep.DeliverFunc())
 		if err != nil {
 			c.t.Fatal(err)
@@ -288,10 +282,9 @@ func (c *cluster) assembleCore(id proc.ID) *coreNode {
 		// Donor side of the state-transfer protocol: registered before the
 		// stack starts (rchannel handlers are pre-start only).
 		if durable {
-			n.recs = append(n.recs, replication.NewRecovery(
-				node.Endpoint(), rep, c.ids, replication.SyncConfig{Join: node.Join}))
+			n.recs = append(n.recs, replication.NewRecovery(node.Endpoint(), rep, c.ids, replication.SyncConfig{}))
 		} else {
-			replication.ServeSync(node.Endpoint(), rep, replication.SyncConfig{Join: node.Join})
+			replication.ServeSync(node.Endpoint(), rep)
 		}
 		scope := c.scope(id, k)
 		node.RegisterMetrics(scope)
@@ -395,8 +388,8 @@ func (c *cluster) newGateway(id proc.ID, shards []service.Shard) *service.Gatewa
 }
 
 // buildFollowerNode assembles a follower node from nothing under a fresh
-// incarnation: follower replicas fed by syncers, the membership
-// state-transfer receiver, and a gateway fronting the followers.
+// incarnation: follower replicas fed by syncers, and a gateway fronting the
+// followers.
 func (c *cluster) buildFollowerNode(id proc.ID, inc uint64, donors []proc.ID) *edgeNode {
 	tr := c.network.Endpoint(id)
 	e := &edgeNode{id: id, inc: inc, tr: tr, mux: transport.NewGroupMux(tr, c.shards)}
@@ -404,7 +397,6 @@ func (c *cluster) buildFollowerNode(id proc.ID, inc uint64, donors []proc.ID) *e
 		sm := newChaosSM()
 		f := replication.NewFollower(sm, id)
 		f.SetSnapshotter(sm.snapshotter())
-		primed := false
 		if c.dataDir != "" {
 			eng, err := storage.Open(c.shardDir(id, k), storage.Config{SegmentBytes: chaosSegmentBytes})
 			if err != nil {
@@ -417,11 +409,13 @@ func (c *cluster) buildFollowerNode(id proc.ID, inc uint64, donors []proc.ID) *e
 			}
 			e.engs = append(e.engs, eng)
 			e.replays = append(e.replays, rs)
-			primed = rs.SnapshotIndex > 0 || rs.Records > 0
 		}
 		ep := rchannel.New(e.mux.Group(k),
 			rchannel.WithRTO(10*raceScale*time.Millisecond),
 			rchannel.WithIncarnation(inc))
+		// A follower that replayed its own snapshot + WAL asks only for the
+		// delta after the replayed index — the delta-only restart the sync
+		// counters prove.
 		syncer := replication.NewSyncer(f, ep, replication.SyncerConfig{
 			Donors:   donors,
 			Interval: 2 * raceScale * time.Millisecond,
@@ -429,17 +423,6 @@ func (c *cluster) buildFollowerNode(id proc.ID, inc uint64, donors []proc.ID) *e
 			// a pull that merely takes long must not be treated as donor loss
 			// (rotating donors on queueing delay only adds load).
 			Timeout: 150 * raceScale * raceScale * time.Millisecond,
-			// A primed follower replayed its own snapshot + WAL: no
-			// membership-join announcement and no forced first snapshot —
-			// its first pull asks for the delta after the replayed index,
-			// which is the delta-only restart the sync counters prove.
-			Announce: !primed,
-			Primed:   primed,
-		})
-		// Receiver half of the membership join path: a donor requests the
-		// ordered join for us; the membership primary ships the snapshot.
-		membership.New(noBroadcast{}, ep, proc.NewView(id), membership.Snapshotter{
-			Restore: func(b []byte) { _ = f.InstallSnapshot(b) },
 		})
 		scope := c.scope(id, k)
 		ep.RegisterMetrics(scope)

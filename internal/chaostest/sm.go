@@ -118,11 +118,3 @@ func (c *chaosSM) restore(data []byte) {
 func (c *chaosSM) snapshotter() replication.Snapshotter {
 	return replication.Snapshotter{Snapshot: c.snapshot, Restore: c.restore}
 }
-
-// noBroadcast is the membership broadcaster stub of a follower: a follower
-// receives state transfers but never issues membership operations itself.
-type noBroadcast struct{}
-
-func (noBroadcast) Broadcast(string, any) error {
-	return fmt.Errorf("chaostest: follower is not a group member")
-}

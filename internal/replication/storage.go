@@ -36,7 +36,6 @@ package replication
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/msg"
@@ -288,66 +287,19 @@ func (p *Passive) StorageStats() StorageStats {
 // quiescent during recovery (failover and gateways start afterwards), the
 // target index is fixed and the rounds terminate.
 
-// RecoveryStats is the alignment phase's accounting.
-type RecoveryStats struct {
-	Rounds    uint64 // pull rounds completed
-	Entries   uint64 // log entries adopted from peers
-	Snapshots uint64 // full snapshots adopted from peers
-	Bytes     uint64 // encoded bytes adopted (snapshot payloads)
-	Failures  uint64 // pull RPCs that failed or timed out
-}
-
-// Recovery aligns a restarted replica with its peers. It registers a
-// combined SyncProto handler: donor requests (pulls, barriers, hellos,
-// renewals) are served exactly as ServeSync would, while sState responses
-// — which only a puller receives — feed this replica's own recovery RPCs.
+// Recovery aligns a restarted replica with its peers: a puller (the
+// replica's SyncProto handler, serving donor requests as ServeSync does)
+// driven in rounds over the peers.
 type Recovery struct {
-	p     *Passive
-	ep    *rchannel.Endpoint
+	*puller
 	peers []proc.ID
-
-	mu      sync.Mutex
-	nextReq uint64
-	waiters map[uint64]chan sState
-	stats   RecoveryStats
 }
 
 // NewRecovery wires recovery + donor serving onto the endpoint. Call in
 // place of ServeSync, between core.NewNode and Start; then node.Start and
-// Run BEFORE StartFailover and gateway wiring.
-func NewRecovery(ep *rchannel.Endpoint, p *Passive, peers []proc.ID, cfg SyncConfig) *Recovery {
-	r := &Recovery{
-		p:       p,
-		ep:      ep,
-		peers:   peers,
-		waiters: make(map[uint64]chan sState),
-	}
-	donor := SyncHandler(ep, p, cfg)
-	ep.Handle(SyncProto, func(from proc.ID, body any) {
-		if st, ok := body.(sState); ok {
-			r.onState(st)
-			return
-		}
-		donor(from, body)
-	})
-	return r
-}
-
-func (r *Recovery) onState(st sState) {
-	r.mu.Lock()
-	ch := r.waiters[st.ReqID]
-	delete(r.waiters, st.ReqID)
-	r.mu.Unlock()
-	if ch != nil {
-		ch <- st
-	}
-}
-
-// Stats returns the alignment accounting.
-func (r *Recovery) Stats() RecoveryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+// Run BEFORE StartFailover and gateway wiring. The SyncConfig is ignored.
+func NewRecovery(ep *rchannel.Endpoint, p *Passive, peers []proc.ID, _ SyncConfig) *Recovery {
+	return &Recovery{puller: newPuller(ep, p, false), peers: peers}
 }
 
 // recoveryDeadAfter is how many consecutive failed pulls write a peer off
@@ -365,10 +317,7 @@ const recoveryDeadAfter = 3
 // comes back later recovers against the then-live set).
 func (r *Recovery) Run(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	per := timeout / 10
-	if per < 10*time.Millisecond {
-		per = 10 * time.Millisecond
-	}
+	per := max(timeout/10, 10*time.Millisecond)
 	fails := make(map[proc.ID]int)
 	for {
 		behind, unsettled := false, false
@@ -376,40 +325,17 @@ func (r *Recovery) Run(timeout time.Duration) error {
 			if peer == r.p.Self() || fails[peer] >= recoveryDeadAfter {
 				continue
 			}
-			reached := true
-			for { // drain this peer
-				st, err := r.rpc(peer, per)
-				if err != nil {
-					reached = false
-					r.mu.Lock()
-					r.stats.Failures++
-					r.mu.Unlock()
-					break
-				}
-				if st.Snapshot != nil {
-					if err := r.p.InstallSnapshot(st.Snapshot); err != nil {
-						return err
-					}
-					r.mu.Lock()
-					r.stats.Snapshots++
-					r.stats.Bytes += uint64(len(st.Snapshot))
-					r.mu.Unlock()
-				}
-				if len(st.Entries) > 0 {
-					r.p.ApplySyncEntries(st.From, st.Entries)
-					r.mu.Lock()
-					r.stats.Entries += uint64(len(st.Entries))
-					r.mu.Unlock()
-				}
-				if r.p.CommitIndex() >= st.Index {
-					break
-				}
-				behind = true
-			}
-			if reached {
+			b, err := r.drain(peer, per)
+			behind = behind || b
+			switch {
+			case err == nil:
 				fails[peer] = 0
-			} else if fails[peer]++; fails[peer] < recoveryDeadAfter {
-				unsettled = true // retry this peer next round before concluding
+			case !errors.Is(err, ErrTimeout):
+				return err
+			default:
+				if fails[peer]++; fails[peer] < recoveryDeadAfter {
+					unsettled = true // retry this peer next round before concluding
+				}
 			}
 		}
 		r.mu.Lock()
@@ -424,31 +350,5 @@ func (r *Recovery) Run(timeout time.Duration) error {
 			}
 			return nil // aligned with everyone still answering
 		}
-	}
-}
-
-func (r *Recovery) rpc(peer proc.ID, timeout time.Duration) (sState, error) {
-	r.mu.Lock()
-	r.nextReq++
-	id := r.nextReq
-	ch := make(chan sState, 1)
-	r.waiters[id] = ch
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.waiters, id)
-		r.mu.Unlock()
-	}()
-	req := sPull{ReqID: id, From: r.p.CommitIndex(), T0: time.Now().UnixNano()}
-	if err := r.ep.Send(peer, SyncProto, req); err != nil {
-		return sState{}, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case st := <-ch:
-		return st, nil
-	case <-timer.C:
-		return sState{}, ErrTimeout
 	}
 }

@@ -193,7 +193,18 @@ func TestStorageCompaction(t *testing.T) {
 // TestRecoveryAlignsRestartedGroup: three replicas come back from disk at
 // DIFFERENT indices (each lost a different suffix) and the Recovery round
 // pulls only the missing deltas — no snapshot transfer — until all agree.
+// Incarnation 1 is the gcsnode -data-dir shape: every first pull crosses
+// the reliable channel's incarnation handshake, and the request lost in
+// that transition window must be re-sent at once, not after a timeout.
 func TestRecoveryAlignsRestartedGroup(t *testing.T) {
+	for _, inc := range []uint64{0, 1} {
+		t.Run(fmt.Sprintf("incarnation%d", inc), func(t *testing.T) {
+			testRecoveryAlignsRestartedGroup(t, inc)
+		})
+	}
+}
+
+func testRecoveryAlignsRestartedGroup(t *testing.T, inc uint64) {
 	base := t.TempDir()
 	ids := proc.IDs("r1", "r2", "r3")
 	heights := map[proc.ID]int{"r1": 30, "r2": 25, "r3": 20}
@@ -216,20 +227,23 @@ func TestRecoveryAlignsRestartedGroup(t *testing.T) {
 		if int(rs.Records) != heights[id] {
 			t.Fatalf("%s replayed %d records, want %d", id, rs.Records, heights[id])
 		}
-		ep := rchannel.New(network.Endpoint(id), rchannel.WithRTO(10*time.Millisecond))
+		ep := rchannel.New(network.Endpoint(id), rchannel.WithRTO(10*time.Millisecond), rchannel.WithIncarnation(inc))
 		recs[id] = NewRecovery(ep, p, ids, SyncConfig{})
 		ep.Start()
 		reps[id] = p
 	}
+	const timeout = 5 * time.Second
 	done := make(chan error, len(ids))
+	start := time.Now()
 	for _, id := range ids {
-		go func(r *Recovery) { done <- r.Run(5 * time.Second) }(recs[id])
+		go func(r *Recovery) { done <- r.Run(timeout) }(recs[id])
 	}
 	for range ids {
 		if err := <-done; err != nil {
 			t.Fatalf("recovery: %v", err)
 		}
 	}
+	elapsed := time.Since(start)
 
 	want := reps["r1"].StateDigest()
 	for _, id := range ids {
@@ -247,6 +261,16 @@ func TestRecoveryAlignsRestartedGroup(t *testing.T) {
 	}
 	if st2.Snapshots != 0 || st3.Snapshots != 0 {
 		t.Fatalf("recovery fell back to snapshots: r2=%+v r3=%+v", st2, st3)
+	}
+	// No pull was lost: not even to the incarnation handshake, so the
+	// whole alignment takes a fraction of one per-pull timeout.
+	for _, id := range ids {
+		if st := recs[id].Stats(); st.Failures != 0 {
+			t.Fatalf("%s recorded %d failed pulls: %+v", id, st.Failures, st)
+		}
+	}
+	if per := timeout / 10; elapsed > per/2 {
+		t.Fatalf("alignment took %v, want well under the %v per-pull timeout", elapsed, per)
 	}
 	// And the adopted delta was persisted: kill r3 again, replay alone.
 	if err := reps["r3"].CloseStorage(); err != nil {

@@ -1,35 +1,39 @@
 package replication
 
-// State-transfer protocol: how a follower (NewFollower) becomes and stays a
-// replica of a running group without replaying history from the beginning.
+// Catch-up protocol: the one way a replica at commit index h comes up to a
+// donor's height — a fresh or wiped follower (NewFollower + Syncer), a
+// durable follower restarting from its own disk, and every durable member
+// realigning after a whole-cluster restart (Recovery, storage.go).
 //
 // The protocol runs over the reliable channel (rchannel), point to point,
 // outside the broadcast substrate — a follower holds no vote and sends no
 // broadcast, so the group's f < n/2 crash budget is untouched by followers
-// joining, dying and rejoining.
+// joining, dying and rejoining. Every replica registers the same handler
+// (a puller): it serves donor requests and routes replies to its own pulls.
 //
-//	follower                         donor (any full replica)
-//	  | HELLO{joiner}                   |  donor requests an ordered
-//	  |------------------------------->|  membership join for the joiner;
-//	  |                                |  the membership primary ships a
-//	  |        (membership state xfer) |  snapshot captured AT the join's
-//	  |<- - - - - - - - - - - - - - - -|  position in the total order
-//	  | PULL{reqid, from}              |
-//	  |------------------------------->|  catch-up cursor: the donor answers
-//	  |   STATE{reqid, entries | snap} |  with log entries after `from`, or
-//	  |<-------------------------------|  a fresh snapshot if `from` is out
-//	  | BARRIER{reqid}                 |  of the retained window
+//	puller                           donor (any full replica)
+//	  | PULL{reqid, from, snap}        |
+//	  |------------------------------->|  the donor answers with its log
+//	  |   STATE{reqid, entries | snap} |  entries after `from`, or a fresh
+//	  |<-------------------------------|  snapshot if `from` is out of the
+//	  |        ... until from ≥ index  |  retained window (or snap is set)
+//	  | BARRIER{reqid}                 |
 //	  |------------------------------->|  read-index: the donor (if primary)
 //	  |      BARRIER_RESP{reqid, idx}  |  runs a real ReadBarrier and
 //	  |<-------------------------------|  returns its post-barrier index
 //	  | RENEW{sessions}                |  forwarded lease renewals (never
 //	  |------------------------------->|  tick the replicated clock)
 //
-// The pull loop never stops: a follower is a permanently catching-up
-// replica whose staleness is bounded by the pull interval; Monotonic reads
-// wait on the commit index exactly as at any backup, and Linearizable reads
-// use the read-index barrier, so an installed follower serves reads at full
-// backup parity.
+// A replica with no installed state (commit index 0 at start) sets snap on
+// its first pull: the complete state (view, dedup table, lease clock) comes
+// in one snapshot, and entries follow. A replica that replayed its own disk
+// asks only for the delta after its index.
+//
+// The follower's pull loop never stops: a follower is a permanently
+// catching-up replica whose staleness is bounded by the pull interval;
+// Monotonic reads wait on the commit index exactly as at any backup, and
+// Linearizable reads use the read-index barrier, so an installed follower
+// serves reads at full backup parity.
 
 import (
 	"errors"
@@ -45,10 +49,26 @@ import (
 // SyncProto is the rchannel protocol name of the state-transfer traffic.
 const SyncProto = "repl.sync"
 
+// Donor-side bounds: one pull answer carries at most syncMaxEntries log
+// entries, and a proxied read barrier waits at most syncBarrierTimeout.
+const (
+	syncMaxEntries     = 512
+	syncBarrierTimeout = 5 * time.Second
+)
+
+// An outstanding request checks whether the donor's channel incarnation
+// moved under it (see puller.rpc) first after incarnationPoll, then at
+// doubling intervals up to incarnationPollMax: the handshake that moves it
+// completes within a round trip or two of the send, and a long wait (a
+// barrier at a stalled primary) must not keep waking up every millisecond.
+const (
+	incarnationPoll    = time.Millisecond
+	incarnationPollMax = 32 * time.Millisecond
+)
+
 // Wire messages of the sync protocol.
 type (
-	sHello struct{ Joiner proc.ID }
-	sPull  struct {
+	sPull struct {
 		ReqID uint64
 		From  uint64
 		// Snap forces a full snapshot regardless of the donor's retained
@@ -90,7 +110,6 @@ const (
 )
 
 func init() {
-	msg.Register(sHello{})
 	msg.Register(sPull{})
 	msg.Register(sState{})
 	msg.Register(sBarrier{})
@@ -98,15 +117,11 @@ func init() {
 	msg.Register(sRenew{})
 }
 
-// SyncConfig parameterises the donor side.
+// SyncConfig is NewRecovery's configuration argument; it has no settings.
 type SyncConfig struct {
-	// MaxEntries bounds one pull response (default 512 entries).
-	MaxEntries int
-	// BarrierTimeout bounds a proxied read barrier at the donor (default 5s).
-	BarrierTimeout time.Duration
-	// Join, when set, is invoked (on its own goroutine) with a HELLO's
-	// joiner ID — wired to the node's membership Join so a hello triggers
-	// the ordered membership join path and its snapshot state transfer.
+	// Join is ignored: followers never enter the membership view.
+	//
+	// Deprecated: ignored.
 	Join func(proc.ID) error
 }
 
@@ -114,42 +129,196 @@ type SyncConfig struct {
 // node's endpoint. Call between core.NewNode and Start (rchannel handlers
 // must be registered before the endpoint starts). Every full replica of the
 // group should serve sync, so followers can fail over between donors.
-func ServeSync(ep *rchannel.Endpoint, p *Passive, cfg SyncConfig) {
-	ep.Handle(SyncProto, SyncHandler(ep, p, cfg))
+func ServeSync(ep *rchannel.Endpoint, p *Passive) {
+	newPuller(ep, p, false)
 }
 
-// SyncHandler returns the donor-side dispatch without registering it, so a
-// caller can compose it with its own SyncProto traffic on one endpoint —
-// the restart Recovery (storage.go) serves donor requests while consuming
-// the sState responses to its own pulls.
-func SyncHandler(ep *rchannel.Endpoint, p *Passive, cfg SyncConfig) func(from proc.ID, body any) {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 512
+// SyncStats is the catch-up accounting shared by the follower Syncer and the
+// restart Recovery.
+type SyncStats struct {
+	Rounds    uint64 // recovery passes over the peers
+	Pulls     uint64 // pull RPCs attempted
+	Failures  uint64 // pull RPCs that timed out or failed to send
+	Snapshots uint64 // snapshots installed
+	Bytes     uint64 // snapshot bytes installed
+	Entries   uint64 // log entries applied
+
+	// Latency attribution of the last completed pull (including ones whose
+	// waiter had already timed out), from the timing echoes: request
+	// transit, donor handling, response transit.
+	LastReqMS   float64
+	LastDonorMS float64
+	LastRespMS  float64
+}
+
+// puller is a replica's end of the sync protocol: the SyncProto handler
+// (donor requests are served, replies are routed to waiting requests), the
+// correlated-RPC table, and the drain step that pulls from one donor until
+// this replica reaches the donor's commit index.
+type puller struct {
+	p    *Passive
+	ep   *rchannel.Endpoint
+	stop chan struct{} // closed by Syncer.Stop; aborts waits
+
+	mu      sync.Mutex
+	nextReq uint64
+	waiters map[uint64]chan any
+	fresh   bool // no installed state yet: the next pull asks for a snapshot
+	stats   SyncStats
+}
+
+func newPuller(ep *rchannel.Endpoint, p *Passive, fresh bool) *puller {
+	pl := &puller{p: p, ep: ep, stop: make(chan struct{}), waiters: make(map[uint64]chan any), fresh: fresh}
+	ep.Handle(SyncProto, pl.onNet)
+	return pl
+}
+
+// Stats returns a snapshot of the catch-up counters.
+func (pl *puller) Stats() SyncStats {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.stats
+}
+
+func (pl *puller) onNet(from proc.ID, body any) {
+	// The dispatch goroutine must not block: everything that can wait
+	// (snapshot capture, barriers, broadcasts) runs on its own goroutine.
+	var id uint64
+	switch m := body.(type) {
+	case sPull:
+		go servePull(pl.ep, pl.p, from, m)
+		return
+	case sBarrier:
+		go serveBarrier(pl.ep, pl.p, from, m)
+		return
+	case sRenew:
+		go func(sessions []string) { _ = pl.p.LeaseRenew(sessions) }(m.Sessions)
+		return
+	case sState:
+		id = m.ReqID
+		if m.T0 != 0 {
+			now := time.Now().UnixNano()
+			pl.mu.Lock()
+			pl.stats.LastReqMS = float64(m.T1-m.T0) / 1e6
+			pl.stats.LastDonorMS = float64(m.T2-m.T1) / 1e6
+			pl.stats.LastRespMS = float64(now-m.T2) / 1e6
+			pl.mu.Unlock()
+		}
+	case sBarrierResp:
+		id = m.ReqID
+	default:
+		return
 	}
-	if cfg.BarrierTimeout <= 0 {
-		cfg.BarrierTimeout = 5 * time.Second
+	pl.mu.Lock()
+	ch := pl.waiters[id]
+	delete(pl.waiters, id)
+	pl.mu.Unlock()
+	if ch != nil {
+		ch <- body
 	}
-	return func(from proc.ID, body any) {
-		// The dispatch goroutine must not block: everything that can wait
-		// (snapshot capture, barriers, broadcasts) runs on its own goroutine.
-		switch m := body.(type) {
-		case sHello:
-			if cfg.Join != nil && m.Joiner != "" {
-				go func(j proc.ID) { _ = cfg.Join(j) }(m.Joiner)
+}
+
+// rpc sends one correlated request and waits for its reply. A request sent
+// before this endpoint knew the donor's current incarnation is lost in the
+// reliable channel's transition window; when PeerIncarnation(donor) changes
+// while the request is outstanding, the same request is sent again. Pulls
+// and barriers are idempotent and the waiter keeps the first reply.
+func (pl *puller) rpc(donor proc.ID, timeout time.Duration, mk func(id uint64) any) (any, error) {
+	pl.mu.Lock()
+	pl.nextReq++
+	id := pl.nextReq
+	ch := make(chan any, 1)
+	pl.waiters[id] = ch
+	pl.mu.Unlock()
+	defer func() {
+		pl.mu.Lock()
+		delete(pl.waiters, id)
+		pl.mu.Unlock()
+	}()
+	req := mk(id)
+	inc := pl.ep.PeerIncarnation(donor)
+	if err := pl.ep.Send(donor, SyncProto, req); err != nil {
+		return nil, err
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	wait := incarnationPoll
+	poll := time.NewTimer(wait)
+	defer poll.Stop()
+	for {
+		select {
+		case v := <-ch:
+			return v, nil
+		case <-poll.C:
+			if now := pl.ep.PeerIncarnation(donor); now != inc {
+				inc = now
+				if err := pl.ep.Send(donor, SyncProto, req); err != nil {
+					return nil, err
+				}
 			}
-		case sPull:
-			go servePull(ep, p, from, m, cfg.MaxEntries)
-		case sBarrier:
-			go serveBarrier(ep, p, from, m, cfg.BarrierTimeout)
-		case sRenew:
-			go func(sessions []string) { _ = p.LeaseRenew(sessions) }(m.Sessions)
+			wait = min(2*wait, incarnationPollMax)
+			poll.Reset(wait)
+		case <-timer.C:
+			return nil, ErrTimeout
+		case <-pl.stop:
+			return nil, ErrTimeout
 		}
 	}
 }
 
-func servePull(ep *rchannel.Endpoint, p *Passive, from proc.ID, m sPull, maxEntries int) {
+// drain pulls from donor, installing snapshots and applying entries, until
+// this replica's commit index reaches the donor's as of its last answer.
+// behind reports that some answer still left the replica short of the
+// donor (it needed more than one pull). An unanswered pull returns an
+// error wrapping ErrTimeout; a snapshot that fails to install returns that
+// error.
+func (pl *puller) drain(donor proc.ID, timeout time.Duration) (behind bool, err error) {
+	for {
+		pl.mu.Lock()
+		snap := pl.fresh
+		pl.stats.Pulls++
+		pl.mu.Unlock()
+		v, err := pl.rpc(donor, timeout, func(id uint64) any {
+			return sPull{ReqID: id, From: pl.p.CommitIndex(), Snap: snap, T0: time.Now().UnixNano()}
+		})
+		st, ok := v.(sState)
+		if err != nil || !ok {
+			pl.mu.Lock()
+			pl.stats.Failures++
+			pl.mu.Unlock()
+			return behind, fmt.Errorf("replication: pull from %s: %w", donor, ErrTimeout)
+		}
+		if st.Snapshot != nil {
+			if err := pl.p.InstallSnapshot(st.Snapshot); err != nil {
+				return behind, err
+			}
+			pl.mu.Lock()
+			pl.fresh = false
+			pl.stats.Snapshots++
+			pl.stats.Bytes += uint64(len(st.Snapshot))
+			pl.mu.Unlock()
+		}
+		if len(st.Entries) > 0 {
+			pl.p.ApplySyncEntries(st.From, st.Entries)
+			pl.mu.Lock()
+			pl.stats.Entries += uint64(len(st.Entries))
+			pl.mu.Unlock()
+		}
+		if pl.p.CommitIndex() >= st.Index {
+			return behind, nil
+		}
+		behind = true
+		select {
+		case <-pl.stop:
+			return behind, ErrTimeout
+		default:
+		}
+	}
+}
+
+func servePull(ep *rchannel.Endpoint, p *Passive, from proc.ID, m sPull) {
 	resp := sState{ReqID: m.ReqID, From: m.From, T0: m.T0, T1: time.Now().UnixNano()}
-	if entries, ok := p.SyncSince(m.From, maxEntries); ok && !m.Snap {
+	if entries, ok := p.SyncSince(m.From, syncMaxEntries); ok && !m.Snap {
 		resp.Entries = entries
 	} else {
 		resp.Snapshot = p.EncodeSnapshot()
@@ -159,9 +328,9 @@ func servePull(ep *rchannel.Endpoint, p *Passive, from proc.ID, m sPull, maxEntr
 	_ = ep.Send(from, SyncProto, resp)
 }
 
-func serveBarrier(ep *rchannel.Endpoint, p *Passive, from proc.ID, m sBarrier, timeout time.Duration) {
+func serveBarrier(ep *rchannel.Endpoint, p *Passive, from proc.ID, m sBarrier) {
 	resp := sBarrierResp{ReqID: m.ReqID}
-	idx, err := p.ReadBarrier(timeout, nil)
+	idx, err := p.ReadBarrier(syncBarrierTimeout, nil)
 	switch {
 	case err == nil:
 		resp.Code, resp.Index = syncOK, idx
@@ -187,41 +356,28 @@ type SyncerConfig struct {
 	Interval time.Duration
 	// Timeout bounds one pull RPC before rotating donors (default 250ms).
 	Timeout time.Duration
-	// Announce sends a HELLO on start so a donor requests the ordered
-	// membership join (and its snapshot state transfer) for this follower.
-	Announce bool
-	// Primed marks the follower as already holding installed state — it
-	// replayed its own snapshot + WAL from disk — so the first pull asks for
-	// the delta after its commit index instead of forcing a full snapshot.
-	Primed bool
 }
 
-// Syncer drives a follower replica: it announces the join, pulls the
-// delivered-command log (or a snapshot) from donors on a fixed cadence, and
-// provides the follower's barrier/lease proxies.
+// Syncer drives a follower replica: it pulls the delivered-command log (or
+// a snapshot) from donors on a fixed cadence, and provides the follower's
+// barrier/lease proxies.
 type Syncer struct {
-	p   *Passive
-	ep  *rchannel.Endpoint
+	*puller
 	cfg SyncerConfig
-
-	mu      sync.Mutex
-	nextReq uint64
-	waiters map[uint64]chan any
-	rr      int
+	rr  int // donor rotation cursor, under mu
 
 	installed     chan struct{}
 	installedOnce sync.Once
-	synced        bool // a snapshot has been installed (first pull done)
-	stats         SyncerStats
 
 	startOnce sync.Once
-	stop      chan struct{}
 	done      sync.WaitGroup
 }
 
 // NewSyncer wires a syncer onto the follower's endpoint. Call before
-// ep.Start (it registers the SyncProto handler); then Start the endpoint
-// and the syncer.
+// ep.Start (it registers the SyncProto handler) and after any
+// ReplayStorage: a follower that replayed state from disk pulls only the
+// delta after it, a follower at commit index 0 pulls a snapshot first.
+// Then Start the endpoint and the syncer.
 func NewSyncer(p *Passive, ep *rchannel.Endpoint, cfg SyncerConfig) *Syncer {
 	if len(cfg.Donors) == 0 {
 		panic("replication: syncer needs at least one donor")
@@ -233,15 +389,10 @@ func NewSyncer(p *Passive, ep *rchannel.Endpoint, cfg SyncerConfig) *Syncer {
 		cfg.Timeout = 250 * time.Millisecond
 	}
 	s := &Syncer{
-		p:         p,
-		ep:        ep,
+		puller:    newPuller(ep, p, p.CommitIndex() == 0),
 		cfg:       cfg,
-		waiters:   make(map[uint64]chan any),
 		installed: make(chan struct{}),
-		stop:      make(chan struct{}),
-		synced:    cfg.Primed,
 	}
-	ep.Handle(SyncProto, s.onNet)
 	p.SetBarrierProxy(s.barrier)
 	p.SetLeaseProxy(s.renew)
 	return s
@@ -271,33 +422,8 @@ func (s *Syncer) Stop() {
 // backup parity.
 func (s *Syncer) Installed() <-chan struct{} { return s.installed }
 
-// SyncerStats is the catch-up loop's accounting.
-type SyncerStats struct {
-	Pulls     uint64 // pull RPCs attempted
-	Failures  uint64 // pull RPCs that timed out or failed to send
-	Snapshots uint64 // snapshots installed
-	Entries   uint64 // log entries applied
-
-	// Latency attribution of the last completed pull (including ones whose
-	// waiter had already timed out), from the timing echoes: request
-	// transit, donor handling, response transit.
-	LastReqMS   float64
-	LastDonorMS float64
-	LastRespMS  float64
-}
-
-// Stats returns a snapshot of the syncer's counters.
-func (s *Syncer) Stats() SyncerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
 func (s *Syncer) loop() {
 	defer s.done.Done()
-	if s.cfg.Announce {
-		_ = s.ep.Send(s.pickDonor(), SyncProto, sHello{Joiner: s.p.Self()})
-	}
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
 	for {
@@ -310,55 +436,15 @@ func (s *Syncer) loop() {
 	}
 }
 
-// pull performs one catch-up round: repeated pulls against one donor until
-// the follower has drained the donor's log (full responses mean more is
-// waiting, so it pulls again immediately rather than sleeping an interval).
+// pull performs one catch-up round: a drain of the current donor (full
+// responses mean more is waiting, so it pulls again immediately rather than
+// sleeping an interval), rotating donors when it fails.
 func (s *Syncer) pull() {
-	for {
-		donor := s.pickDonor()
-		s.mu.Lock()
-		first := !s.synced
-		s.stats.Pulls++
-		s.mu.Unlock()
-		v, err := s.rpc(donor, s.cfg.Timeout, func(id uint64) any {
-			return sPull{ReqID: id, From: s.p.CommitIndex(), Snap: first, T0: time.Now().UnixNano()}
-		})
-		if err != nil {
-			s.mu.Lock()
-			s.stats.Failures++
-			s.mu.Unlock()
-			s.rotateDonor()
-			return
-		}
-		st, ok := v.(sState)
-		if !ok {
-			return
-		}
-		if st.Snapshot != nil {
-			if err := s.p.InstallSnapshot(st.Snapshot); err != nil {
-				return
-			}
-			s.mu.Lock()
-			s.synced = true
-			s.stats.Snapshots++
-			s.mu.Unlock()
-		}
-		if len(st.Entries) > 0 {
-			s.p.ApplySyncEntries(st.From, st.Entries)
-			s.mu.Lock()
-			s.stats.Entries += uint64(len(st.Entries))
-			s.mu.Unlock()
-		}
-		if s.p.CommitIndex() >= st.Index {
-			s.installedOnce.Do(func() { close(s.installed) })
-			return
-		}
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
+	if _, err := s.drain(s.pickDonor(), s.cfg.Timeout); err != nil {
+		s.rotateDonor()
+		return
 	}
+	s.installedOnce.Do(func() { close(s.installed) })
 }
 
 // pickDonor returns the follower's current pull target.
@@ -384,61 +470,6 @@ func (s *Syncer) primaryDonor() proc.ID {
 		}
 	}
 	return s.pickDonor()
-}
-
-// rpc sends one correlated request and waits for its response.
-func (s *Syncer) rpc(donor proc.ID, timeout time.Duration, mk func(id uint64) any) (any, error) {
-	s.mu.Lock()
-	s.nextReq++
-	id := s.nextReq
-	ch := make(chan any, 1)
-	s.waiters[id] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.waiters, id)
-		s.mu.Unlock()
-	}()
-	if err := s.ep.Send(donor, SyncProto, mk(id)); err != nil {
-		return nil, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case v := <-ch:
-		return v, nil
-	case <-timer.C:
-		return nil, ErrTimeout
-	case <-s.stop:
-		return nil, ErrTimeout
-	}
-}
-
-func (s *Syncer) onNet(_ proc.ID, body any) {
-	var id uint64
-	switch m := body.(type) {
-	case sState:
-		id = m.ReqID
-		if m.T0 != 0 {
-			now := time.Now().UnixNano()
-			s.mu.Lock()
-			s.stats.LastReqMS = float64(m.T1-m.T0) / 1e6
-			s.stats.LastDonorMS = float64(m.T2-m.T1) / 1e6
-			s.stats.LastRespMS = float64(now-m.T2) / 1e6
-			s.mu.Unlock()
-		}
-	case sBarrierResp:
-		id = m.ReqID
-	default:
-		return
-	}
-	s.mu.Lock()
-	ch := s.waiters[id]
-	delete(s.waiters, id)
-	s.mu.Unlock()
-	if ch != nil {
-		ch <- body
-	}
 }
 
 // barrier is the follower's read-index proxy (SetBarrierProxy). If the

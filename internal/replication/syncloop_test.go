@@ -30,14 +30,12 @@ func TestFollowerWipeRejoinLoop(t *testing.T) {
 		rep.SetSnapshotter(sm.snapshotter())
 		node, err := core.NewNode(network.Endpoint(id), core.Config{
 			Self: id, Universe: ids, Relation: PassiveRelation(),
-			Snapshot: rep.EncodeSnapshot,
-			Restore:  func(b []byte) { _ = rep.InstallSnapshot(b) },
 		}, rep.DeliverFunc())
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.Bind(node)
-		ServeSync(node.Endpoint(), rep, SyncConfig{Join: node.Join})
+		ServeSync(node.Endpoint(), rep)
 		reps = append(reps, rep)
 		nodes = append(nodes, node)
 	}
@@ -81,7 +79,6 @@ func TestFollowerWipeRejoinLoop(t *testing.T) {
 			Donors:   ids,
 			Interval: 2 * time.Millisecond,
 			Timeout:  200 * time.Millisecond,
-			Announce: true,
 		})
 		ep.Start()
 		syncer.Start()
