@@ -22,7 +22,7 @@ import (
 // one passive replica per member, each serving sync. The membership join's
 // Snapshot/Restore hooks are wired too — the toolkit-level state transfer —
 // so a test can tell that followers never go through it.
-func startReplicaGroup(t *testing.T, network *gcs.Network, members []gcs.ID) ([]*kvdemo.Store, []*gcs.PassiveReplica, []*gcs.Node) {
+func startReplicaGroup(t *testing.T, network *gcs.Network, members []gcs.ID, incarnation uint64) ([]*kvdemo.Store, []*gcs.PassiveReplica, []*gcs.Node) {
 	t.Helper()
 	stores := make([]*kvdemo.Store, len(members))
 	reps := make([]*gcs.PassiveReplica, len(members))
@@ -36,8 +36,9 @@ func startReplicaGroup(t *testing.T, network *gcs.Network, members []gcs.ID) ([]
 		rep := reps[i]
 		node, err := gcs.NewNode(network.Endpoint(id), gcs.Config{
 			Self: id, Universe: members, Relation: gcs.PassiveRelation(),
-			Snapshot: rep.EncodeSnapshot,
-			Restore:  func(b []byte) { _ = rep.InstallSnapshot(b) },
+			Incarnation: incarnation,
+			Snapshot:    rep.EncodeSnapshot,
+			Restore:     func(b []byte) { _ = rep.InstallSnapshot(b) },
 		}, rep.DeliverFunc())
 		if err != nil {
 			t.Fatal(err)
@@ -52,6 +53,20 @@ func startReplicaGroup(t *testing.T, network *gcs.Network, members []gcs.ID) ([]
 			nd.Stop()
 		}
 	})
+	// Frames sent before the channel handshake completes may be lost, so a
+	// restarted group serves only once every member knows every peer's
+	// incarnation (gcsnode -data-dir waits out its recovery step).
+	deadline := time.Now().Add(10 * time.Second)
+	for i, nd := range nodes {
+		for _, peer := range members {
+			for peer != members[i] && nd.Endpoint().PeerIncarnation(peer) != incarnation {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never learned %s's incarnation %d", members[i], peer, incarnation)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
 	return stores, reps, nodes
 }
 
@@ -60,7 +75,7 @@ func TestFollowerNodePublicAPI(t *testing.T) {
 	network := gcs.NewNetwork(gcs.WithDelay(0, 2*time.Millisecond), gcs.WithSeed(19))
 	defer network.Shutdown()
 	addrs := map[gcs.ID]string{"s1": "s1", "s2": "s2", "s3": "s3", "f1": "f1"}
-	stores, reps, _ := startReplicaGroup(t, network, members)
+	stores, reps, _ := startReplicaGroup(t, network, members, 0)
 
 	// A gateway at the primary, and some committed state.
 	l, err := network.ListenStream("s1")
@@ -164,7 +179,7 @@ func TestFollowerStaysOutOfView(t *testing.T) {
 	members := []gcs.ID{"s1", "s2", "s3"}
 	network := gcs.NewNetwork(gcs.WithDelay(0, 2*time.Millisecond), gcs.WithSeed(23))
 	defer network.Shutdown()
-	_, reps, nodes := startReplicaGroup(t, network, members)
+	_, reps, nodes := startReplicaGroup(t, network, members, 0)
 	for i := 0; i < 20; i++ {
 		op := fmt.Sprintf("put k%d %d", i, i)
 		if _, err := reps[0].RequestSession("w", uint64(i+1), uint64(i), []byte(op), 10*time.Second); err != nil {
@@ -211,5 +226,48 @@ func TestFollowerStaysOutOfView(t *testing.T) {
 	}
 	if n := restores.Load(); n != 1 {
 		t.Errorf("application Restore ran %d times, want 1", n)
+	}
+}
+
+// TestFollowerFirstPullOnStart: the follower pulls as soon as it starts,
+// not one PullInterval later, and a first pull lost to the donors'
+// incarnation handshake is re-sent when the handshake completes — with an
+// hour-long interval it installs within a second, whether the cores run at
+// incarnation 0 or, as gcsnode -data-dir runs them, at 1.
+func TestFollowerFirstPullOnStart(t *testing.T) {
+	for _, inc := range []uint64{0, 1} {
+		t.Run(fmt.Sprintf("incarnation%d", inc), func(t *testing.T) {
+			members := []gcs.ID{"s1", "s2", "s3"}
+			network := gcs.NewNetwork(gcs.WithDelay(0, 2*time.Millisecond), gcs.WithSeed(29))
+			defer network.Shutdown()
+			_, reps, _ := startReplicaGroup(t, network, members, inc)
+			if _, err := reps[0].RequestSession("w", 1, 0, []byte("put a 1"), 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+
+			fstore := kvdemo.New()
+			start := time.Now()
+			follower, err := gcs.NewFollowerNode(network.Endpoint("f1"), fstore, gcs.FollowerConfig{
+				Self:         "f1",
+				Donors:       members,
+				Incarnation:  1,
+				Snapshot:     fstore.Snapshot,
+				Restore:      fstore.Restore,
+				PullInterval: time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Stop()
+			select {
+			case <-follower.Installed():
+			case <-time.After(time.Second):
+				t.Fatal("follower with an hour-long pull interval not installed within 1s")
+			}
+			t.Logf("installed in %v", time.Since(start))
+			if got := fstore.Get("a"); got != "1" {
+				t.Fatalf("follower state: a=%q", got)
+			}
+		})
 	}
 }

@@ -147,3 +147,84 @@ func TestIncarnationRestart(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return colB2.count() >= 11 },
 		"post-restart FIFO stream stalled")
 }
+
+// TestIncarnationMoved: the notification closes when a peer shows up at a
+// higher incarnation (first contact with b#1, then b's restart as b#2), and
+// ordinary traffic at an unchanged incarnation never closes it.
+func TestIncarnationMoved(t *testing.T) {
+	network := transport.NewNetwork(transport.WithDelay(0, time.Millisecond), transport.WithSeed(5))
+	defer network.Shutdown()
+
+	colA := &collector{}
+	a := New(network.Endpoint("a"), WithRTO(5*time.Millisecond))
+	a.Handle("t", colA.handler)
+	a.Start()
+	defer a.Stop()
+
+	fired := func(ch <-chan struct{}, within time.Duration) bool {
+		select {
+		case <-ch:
+			return true
+		case <-time.After(within):
+			return false
+		}
+	}
+	// quiet exchanges traffic both ways at b's current incarnation and
+	// checks that it leaves a's notification open.
+	quiet := func(b *Endpoint, colB *collector, life string) {
+		t.Helper()
+		moved := a.IncarnationMoved()
+		wantA, wantB := colA.count()+5, colB.count()+5
+		for i := 0; i < 5; i++ {
+			if err := b.Send("a", "t", "to-a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Send("b", "t", "to-b"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, 5*time.Second, func() bool { return colA.count() >= wantA && colB.count() >= wantB },
+			life+": traffic never delivered")
+		if fired(moved, 20*time.Millisecond) {
+			t.Fatalf("%s: notification fired for traffic at an unchanged incarnation", life)
+		}
+	}
+
+	moved := a.IncarnationMoved()
+	colB1 := &collector{}
+	b1 := New(network.Endpoint("b"), WithRTO(5*time.Millisecond), WithIncarnation(1))
+	b1.Handle("t", colB1.handler)
+	b1.Start()
+	if err := b1.Send("a", "t", "b1-intro"); err != nil {
+		t.Fatal(err)
+	}
+	if !fired(moved, 5*time.Second) {
+		t.Fatal("no notification on first contact with b#1")
+	}
+	if got := a.PeerIncarnation("b"); got != 1 {
+		t.Fatalf("PeerIncarnation(b) = %d after b#1's intro, want 1", got)
+	}
+	waitFor(t, 5*time.Second, func() bool { return colA.count() >= 1 }, "b#1's intro never delivered")
+	quiet(b1, colB1, "life 1")
+
+	network.Crash("b")
+	b1.Stop()
+	network.Restart("b")
+	moved = a.IncarnationMoved()
+	colB2 := &collector{}
+	b2 := New(network.Endpoint("b"), WithRTO(5*time.Millisecond), WithIncarnation(2))
+	b2.Handle("t", colB2.handler)
+	b2.Start()
+	defer b2.Stop()
+	if err := b2.Send("a", "t", "b2-intro"); err != nil {
+		t.Fatal(err)
+	}
+	if !fired(moved, 5*time.Second) {
+		t.Fatal("no notification when b restarted as b#2")
+	}
+	if got := a.PeerIncarnation("b"); got != 2 {
+		t.Fatalf("PeerIncarnation(b) = %d after b#2's intro, want 2", got)
+	}
+	waitFor(t, 5*time.Second, func() bool { return colA.last() == "b2-intro" }, "b#2's intro never delivered")
+	quiet(b2, colB2, "life 2")
+}

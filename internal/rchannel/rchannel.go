@@ -51,8 +51,10 @@ type wire struct {
 	// corrupting the fresh sequence space. The reliable-delivery obligation
 	// is therefore per ESTABLISHED incarnation pair: frames a side sends
 	// before it has observed the peer's current incarnation may be lost in
-	// the transition window (its callers retry, exactly as for a message
-	// sent to a process that has not come up yet). Zero values reproduce
+	// the transition window. A caller that must not lose such a frame waits
+	// on IncarnationMoved and re-sends when the peer's incarnation changed,
+	// exactly as for a message sent to a process that has not come up yet
+	// (see replication's puller.rpc). Zero values reproduce
 	// the pre-incarnation wire format, so never-restarting processes are
 	// unaffected.
 	Inc  uint64
@@ -121,6 +123,7 @@ type Endpoint struct {
 	out      map[proc.ID]*outState
 	in       map[proc.ID]*inState
 	peerInc  map[proc.ID]uint64 // highest incarnation seen per peer
+	incMoved chan struct{}      // closed and replaced when peerInc rises
 	started  bool
 
 	// Incarnation-handshake accounting (ChannelStats).
@@ -169,6 +172,7 @@ func New(tr transport.Transport, opts ...Option) *Endpoint {
 		out:      make(map[proc.ID]*outState),
 		in:       make(map[proc.ID]*inState),
 		peerInc:  make(map[proc.ID]uint64),
+		incMoved: make(chan struct{}),
 		loopback: make(chan wire, defaultLoopback),
 		stop:     make(chan struct{}),
 	}
@@ -419,10 +423,13 @@ func (e *Endpoint) admit(from proc.ID, w wire) bool {
 		// those frames (including any sent before first hearing from the
 		// peer, stamped with its old incarnation) are DROPPED, not
 		// re-stamped; reliability is per established incarnation pair and
-		// single-shot senders must tolerate the transition window.
+		// single-shot senders must tolerate the transition window (the
+		// IncarnationMoved close below tells them when to re-send).
 		delete(e.out, from)
 		delete(e.in, from)
 		e.statResets++
+		close(e.incMoved)
+		e.incMoved = make(chan struct{})
 	}
 	e.peerInc[from] = w.Inc
 	stale := w.PInc != e.inc
@@ -472,6 +479,18 @@ func (e *Endpoint) PeerIncarnation(peer proc.ID) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.peerInc[peer]
+}
+
+// IncarnationMoved returns a channel that is closed the next time this
+// endpoint observes some peer at a higher incarnation than before — the
+// moment frames sent to that peer's previous life were dropped. Take the
+// channel before reading PeerIncarnation and sending, then wait on it to
+// re-send what the transition window lost; take a fresh channel after each
+// close. Ordinary traffic at an unchanged incarnation never closes it.
+func (e *Endpoint) IncarnationMoved() <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.incMoved
 }
 
 func (e *Endpoint) applyAck(from proc.ID, ack uint64) {

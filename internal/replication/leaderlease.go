@@ -174,33 +174,41 @@ func (p *Passive) leaderLeaseLoop(cfg LeaderLeaseConfig) {
 	ticker := time.NewTicker(cfg.Renew)
 	defer ticker.Stop()
 	for {
+		p.renewLeaderLease(cfg)
 		select {
 		case <-p.llStop:
 			return
 		case <-ticker.C:
 		}
-		if p.degraded.Load() {
-			// A renewal could not commit anyway (no quorum progress); let the
-			// lease lapse rather than queue broadcasts behind the stall.
-			continue
-		}
-		p.mu.Lock()
-		isPrimary := p.replicas.Primary() == p.self
-		epoch := p.epoch
-		p.mu.Unlock()
-		if !isPrimary {
-			continue
-		}
-		l := pLeaderLease{
-			Epoch:  epoch,
-			Holder: p.self,
-			TTLns:  int64(cfg.TTL),
-			TS:     time.Now().UnixNano(),
-		}
-		// A failed send never extends the lease (only delivery does); the
-		// next tick retries.
-		_ = p.node.Gbcast(ClassLease, l)
 	}
+}
+
+// renewLeaderLease sends one renewal if this replica is the primary and not
+// degraded. The loop calls it once on arming, then every Renew: when a
+// renewal is sent does not enter the safety argument, only its send-time
+// stamp does.
+func (p *Passive) renewLeaderLease(cfg LeaderLeaseConfig) {
+	if p.degraded.Load() {
+		// A renewal could not commit anyway (no quorum progress); let the
+		// lease lapse rather than queue broadcasts behind the stall.
+		return
+	}
+	p.mu.Lock()
+	isPrimary := p.replicas.Primary() == p.self
+	epoch := p.epoch
+	p.mu.Unlock()
+	if !isPrimary {
+		return
+	}
+	l := pLeaderLease{
+		Epoch:  epoch,
+		Holder: p.self,
+		TTLns:  int64(cfg.TTL),
+		TS:     time.Now().UnixNano(),
+	}
+	// A failed send never extends the lease (only delivery does); the
+	// next tick retries.
+	_ = p.node.Gbcast(ClassLease, l)
 }
 
 // leaseRead is the linearizable-read fast path: with a live lease at the

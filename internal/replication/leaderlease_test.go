@@ -73,6 +73,25 @@ func TestLeaderLeaseFastPath(t *testing.T) {
 	}
 }
 
+// TestLeaderLeaseFirstRenewalOnArming: the first renewal goes out when
+// EnableLeaderLease arms the loop, not one Renew period later — with an
+// hour-long period, a grant is delivered within a second.
+func TestLeaderLeaseFirstRenewalOnArming(t *testing.T) {
+	reps, _, _, _ := buildPassive(t, 3)
+	for _, r := range reps {
+		r.EnableLeaderLease(LeaderLeaseConfig{TTL: 2 * time.Second, Renew: time.Hour})
+		defer r.DisableLeaderLease()
+	}
+	waitFor(t, time.Second, "first lease grant", func() bool {
+		return reps[0].leaseHeld()
+	})
+	for _, r := range reps {
+		waitFor(t, time.Second, "grant delivery", func() bool {
+			return r.LeaderLeaseStats().Grants >= 1
+		})
+	}
+}
+
 // TestLeaderLeaseHandoff: a delivered epoch change voids the lease
 // everywhere, and the new primary serves linearizable reads through the
 // ordered barrier until the old lease's guard window has fully passed —

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -596,4 +597,90 @@ func TestClientStartingAtBackup(t *testing.T) {
 	if client.Primary() != "s1" {
 		t.Fatalf("client landed on %s", client.Primary())
 	}
+}
+
+// Client is the Figure 8 client: it sends each request to the replica it
+// believes is the primary; on a timeout or a demotion it learns the new
+// primary and reissues the request ("The client will timeout, learn that s2
+// is the new primary, and reissue its request to s2", Section 3.2.3).
+//
+// It is the in-process test client over a replica group (the replicas are
+// reachable as objects); the networked client with the same retry logic is
+// service.Client.
+type Client struct {
+	replicas map[string]*Passive
+	names    []string
+	current  string
+	retry    time.Duration
+	timeout  time.Duration
+	maxTries int
+}
+
+// NewClient creates a client over the replica group. firstPrimary is the
+// initial guess (typically the head of the initial replica list). retry is
+// the back-off between attempts; the per-attempt delivery timeout defaults
+// to 20x retry.
+func NewClient(replicas map[string]*Passive, firstPrimary string, retry time.Duration) *Client {
+	if retry <= 0 {
+		retry = 10 * time.Millisecond
+	}
+	names := make([]string, 0, len(replicas))
+	for n := range replicas {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return &Client{
+		replicas: replicas,
+		names:    names,
+		current:  firstPrimary,
+		retry:    retry,
+		timeout:  20 * retry,
+		maxTries: 100,
+	}
+}
+
+// Request executes op against the service, following primary changes and
+// retrying on demotions and timeouts until a response arrives or the retry
+// budget is exhausted.
+func (c *Client) Request(op []byte) ([]byte, error) {
+	var lastErr error
+	for try := 0; try < c.maxTries; try++ {
+		rep, ok := c.replicas[c.current]
+		if !ok {
+			return nil, fmt.Errorf("replication client: unknown primary %q", c.current)
+		}
+		res, err := rep.RequestTimeout(op, c.timeout)
+		switch {
+		case err == nil:
+			return res, nil
+		case errors.Is(err, ErrNotPrimary), errors.Is(err, ErrDemoted):
+			// Learn the new primary from the contacted replica.
+			c.current = string(rep.Primary())
+			lastErr = err
+		case errors.Is(err, ErrTimeout):
+			// The contacted replica may be cut off and not even know it
+			// was demoted; ask the next replica instead.
+			c.current = c.nextName(c.current)
+			lastErr = err
+		default:
+			return nil, err
+		}
+		time.Sleep(c.retry)
+	}
+	return nil, fmt.Errorf("replication client: retries exhausted: %w", lastErr)
+}
+
+// Primary returns the client's current belief about the primary.
+func (c *Client) Primary() string { return c.current }
+
+func (c *Client) nextName(cur string) string {
+	for i, n := range c.names {
+		if n == cur {
+			return c.names[(i+1)%len(c.names)]
+		}
+	}
+	if len(c.names) > 0 {
+		return c.names[0]
+	}
+	return cur
 }

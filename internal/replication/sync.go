@@ -56,16 +56,6 @@ const (
 	syncBarrierTimeout = 5 * time.Second
 )
 
-// An outstanding request checks whether the donor's channel incarnation
-// moved under it (see puller.rpc) first after incarnationPoll, then at
-// doubling intervals up to incarnationPollMax: the handshake that moves it
-// completes within a round trip or two of the send, and a long wait (a
-// barrier at a stalled primary) must not keep waking up every millisecond.
-const (
-	incarnationPoll    = time.Millisecond
-	incarnationPollMax = 32 * time.Millisecond
-)
-
 // Wire messages of the sync protocol.
 type (
 	sPull struct {
@@ -220,7 +210,8 @@ func (pl *puller) onNet(from proc.ID, body any) {
 
 // rpc sends one correlated request and waits for its reply. A request sent
 // before this endpoint knew the donor's current incarnation is lost in the
-// reliable channel's transition window; when PeerIncarnation(donor) changes
+// reliable channel's transition window; when the endpoint reports that an
+// incarnation moved (IncarnationMoved) and PeerIncarnation(donor) changed
 // while the request is outstanding, the same request is sent again. Pulls
 // and barriers are idempotent and the waiter keeps the first reply.
 func (pl *puller) rpc(donor proc.ID, timeout time.Duration, mk func(id uint64) any) (any, error) {
@@ -236,28 +227,25 @@ func (pl *puller) rpc(donor proc.ID, timeout time.Duration, mk func(id uint64) a
 		pl.mu.Unlock()
 	}()
 	req := mk(id)
+	moved := pl.ep.IncarnationMoved()
 	inc := pl.ep.PeerIncarnation(donor)
 	if err := pl.ep.Send(donor, SyncProto, req); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	wait := incarnationPoll
-	poll := time.NewTimer(wait)
-	defer poll.Stop()
 	for {
 		select {
 		case v := <-ch:
 			return v, nil
-		case <-poll.C:
+		case <-moved:
+			moved = pl.ep.IncarnationMoved()
 			if now := pl.ep.PeerIncarnation(donor); now != inc {
 				inc = now
 				if err := pl.ep.Send(donor, SyncProto, req); err != nil {
 					return nil, err
 				}
 			}
-			wait = min(2*wait, incarnationPollMax)
-			poll.Reset(wait)
 		case <-timer.C:
 			return nil, ErrTimeout
 		case <-pl.stop:
@@ -398,7 +386,8 @@ func NewSyncer(p *Passive, ep *rchannel.Endpoint, cfg SyncerConfig) *Syncer {
 	return s
 }
 
-// Start launches the pull loop.
+// Start launches the pull loop: the first pull goes out at once, the rest
+// every Interval.
 func (s *Syncer) Start() {
 	s.startOnce.Do(func() {
 		s.done.Add(1)
@@ -427,11 +416,11 @@ func (s *Syncer) loop() {
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
 	for {
+		s.pull()
 		select {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			s.pull()
 		}
 	}
 }

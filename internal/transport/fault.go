@@ -96,8 +96,9 @@ type FaultTransport struct {
 }
 
 var (
-	_ Transport    = (*FaultTransport)(nil)
-	_ prefixSender = (*FaultTransport)(nil)
+	_ Transport        = (*FaultTransport)(nil)
+	_ prefixSender     = (*FaultTransport)(nil)
+	_ inboxDropCounter = (*FaultTransport)(nil)
 )
 
 // NewFaultTransport wraps tr. The seed makes the probabilistic faults (drop,
@@ -119,6 +120,13 @@ func (f *FaultTransport) Underlying() Transport { return f.tr }
 func (f *FaultTransport) Self() proc.ID          { return f.tr.Self() }
 func (f *FaultTransport) Receive() <-chan Packet { return f.tr.Receive() }
 func (f *FaultTransport) Close()                 { f.tr.Close() }
+
+// countInboxDrop passes a GroupMux drop through to the wrapped transport.
+func (f *FaultTransport) countInboxDrop() {
+	if c, ok := f.tr.(inboxDropCounter); ok {
+		c.countInboxDrop()
+	}
+}
 
 // SetRule installs (or replaces) the rule for packets toward to.
 func (f *FaultTransport) SetRule(to proc.ID, r FaultRule) {

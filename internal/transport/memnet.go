@@ -520,6 +520,10 @@ func (e *memEndpoint) enqueue(pkt Packet) {
 
 func (e *memEndpoint) Receive() <-chan Packet { return e.inbox }
 
+// countInboxDrop counts a frame a GroupMux over this endpoint dropped after
+// the network had delivered it.
+func (e *memEndpoint) countInboxDrop() { e.net.stats.addDropped() }
+
 func (e *memEndpoint) isClosed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -19,7 +19,7 @@ type tcpMetrics struct {
 	framesIn   *telemetry.Counter
 	bytesIn    *telemetry.Counter
 	queueDrops *telemetry.Counter // outbound write-queue overflow / dead conn
-	inboxDrops *telemetry.Counter // inbound inbox overflow
+	inboxDrops *telemetry.Counter // inbound inbox overflow, incl. GroupMux drops
 }
 
 func (m *tcpMetrics) frameOut(n int) {
@@ -52,6 +52,9 @@ func (m *tcpMetrics) inboxDrop() {
 	m.inboxDrops.Inc()
 }
 
+// countInboxDrop counts a frame a GroupMux over this transport dropped.
+func (t *TCPTransport) countInboxDrop() { t.metrics.Load().inboxDrop() }
+
 // RegisterMetrics binds the transport's counters and gauges into scope.
 // Safe to call at any point (instruments attach atomically); call once.
 func (t *TCPTransport) RegisterMetrics(s *telemetry.Scope) {
@@ -64,7 +67,7 @@ func (t *TCPTransport) RegisterMetrics(s *telemetry.Scope) {
 		framesIn:   s.Counter("gcs_transport_frames_in_total", "Frames received from peer connections."),
 		bytesIn:    s.Counter("gcs_transport_bytes_in_total", "Frame payload bytes received from peer connections."),
 		queueDrops: s.Counter("gcs_transport_queue_drops_total", "Outbound frames dropped (write-queue overflow or dead connection)."),
-		inboxDrops: s.Counter("gcs_transport_inbox_drops_total", "Inbound frames dropped (inbox overflow)."),
+		inboxDrops: s.Counter("gcs_transport_inbox_drops_total", "Inbound frames dropped (inbox overflow, or a group mux's full or closed inbox or unknown tag)."),
 	}
 	t.metrics.Store(m)
 	s.GaugeFunc("gcs_transport_write_queue_depth",

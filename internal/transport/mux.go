@@ -14,6 +14,8 @@ package transport
 // The mux preserves the unreliable contract per group: a full group inbox
 // drops the frame (retransmission above repairs it), and a frame tagged for
 // an unknown group is dropped (a peer running more shards than we do).
+// Every such drop is counted in the physical transport's accounting, as
+// its own inbox drops are (see inboxDropCounter).
 //
 // Lifecycle: each group's Close (called by its own stack's shutdown) closes
 // only that group's inbox; Close on the mux closes the physical transport,
@@ -26,9 +28,18 @@ import (
 	"repro/internal/proc"
 )
 
+// inboxDropCounter is the optional transport hook the mux reports its
+// drops to: TCP counts them in gcs_transport_inbox_drops_total, the
+// simulated network in its Stats.Dropped, and FaultTransport passes them
+// through to the transport it wraps.
+type inboxDropCounter interface {
+	countInboxDrop()
+}
+
 // GroupMux fans one physical Transport out to n logical group transports.
 type GroupMux struct {
 	tr     Transport
+	drops  inboxDropCounter // nil when tr keeps no drop accounting
 	groups []*muxGroup
 	wg     sync.WaitGroup
 
@@ -41,6 +52,7 @@ type GroupMux struct {
 // numbering — group i here talks to group i everywhere.
 func NewGroupMux(tr Transport, n int) *GroupMux {
 	m := &GroupMux{tr: tr}
+	m.drops, _ = tr.(inboxDropCounter)
 	for i := 0; i < n; i++ {
 		m.groups = append(m.groups, &muxGroup{
 			mux:   m,
@@ -81,6 +93,7 @@ func (m *GroupMux) demuxLoop() {
 		if n <= 0 || gid >= uint64(len(m.groups)) {
 			// Corrupt or unknown tag: drop (unreliable contract).
 			PutFrame(pkt.Data)
+			m.countDrop()
 			continue
 		}
 		// The payload subslice shares the frame buffer; the group's consumer
@@ -89,6 +102,12 @@ func (m *GroupMux) demuxLoop() {
 	}
 	for _, g := range m.groups {
 		g.Close()
+	}
+}
+
+func (m *GroupMux) countDrop() {
+	if m.drops != nil {
+		m.drops.countInboxDrop()
 	}
 }
 
@@ -153,11 +172,13 @@ func (g *muxGroup) enqueue(pkt Packet) {
 	defer g.mu.Unlock()
 	if g.closed {
 		PutFrame(pkt.Data)
+		g.mux.countDrop()
 		return
 	}
 	select {
 	case g.inbox <- pkt:
 	default:
 		PutFrame(pkt.Data)
+		g.mux.countDrop()
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/proc"
+	"repro/internal/telemetry"
 )
 
 // muxPair builds a group mux with n groups over each of two memnet
@@ -154,4 +157,72 @@ func TestGroupMuxOverTCP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// waitDrops polls got until it reaches want or a deadline passes.
+func waitDrops(t *testing.T, what string, want uint64, got func() uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for got() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := got(); n != want {
+		t.Fatalf("%s: %d drops counted, want %d", what, n, want)
+	}
+}
+
+// TestGroupMuxDropsCounted: frames the mux drops — unknown or corrupt tag,
+// full group inbox, closed group — land in the physical transport's drop
+// accounting instead of vanishing.
+func TestGroupMuxDropsCounted(t *testing.T) {
+	net, ma, mb := muxPair(t, 2)
+	raw := net.Endpoint("c")
+	dropped := func() uint64 { return net.Stats().Dropped }
+
+	raw.Send("b", []byte{7, 'x'}) // group 7 of 2
+	raw.Send("b", []byte{0xff})   // truncated uvarint tag
+	waitDrops(t, "unknown/corrupt tag", 2, dropped)
+
+	// Fill group 0's inbox, then overflow it by three.
+	inbox := mb.groups[0].inbox
+	for i := 0; i < defaultQueue; i++ {
+		ma.Group(0).Send("b", []byte("fill"))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(inbox) < defaultQueue && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if len(inbox) != defaultQueue || dropped() != 2 {
+		t.Fatalf("fill: inbox %d/%d, %d drops", len(inbox), defaultQueue, dropped())
+	}
+	for i := 0; i < 3; i++ {
+		ma.Group(0).Send("b", []byte("over"))
+	}
+	waitDrops(t, "inbox overflow", 5, dropped)
+
+	mb.Group(1).Close()
+	ma.Group(1).Send("b", []byte("late"))
+	waitDrops(t, "closed group", 6, dropped)
+}
+
+// TestGroupMuxDropsExported: over TCP the mux's drops are counted in
+// gcs_transport_inbox_drops_total.
+func TestGroupMuxDropsExported(t *testing.T) {
+	ta, err := NewTCP("a", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	ta.RegisterMetrics(reg.Scope())
+	m := NewGroupMux(ta, 1)
+	defer m.Close()
+	tb, err := NewTCP("b", "127.0.0.1:0", map[proc.ID]string{"a": ta.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+
+	tb.Send("a", []byte{3, 'x'})
+	drops := reg.Scope().Counter("gcs_transport_inbox_drops_total", "")
+	waitDrops(t, "gcs_transport_inbox_drops_total", 1, drops.Value)
 }
